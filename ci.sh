@@ -9,6 +9,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (every member crate's unit and integration tests)"
+cargo test --workspace -q
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy -- -D warnings
 

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use spotcache_obs::{Counter, EventKind, Histogram, Obs, SpanGuard, TraceContext, Tracer};
+use spotcache_obs::{Counter, Histogram, Obs, SpanGuard, TraceContext, Tracer};
 
 use crate::store::{SetOutcome, SetPolicy, Store};
 
@@ -321,18 +321,20 @@ pub fn parse_request(input: &[u8]) -> Result<(Request<'_>, usize), ParseError> {
                 .ok_or(ParseError::BadLine("bad flags"))? as u32;
             let exptime = parse_u64(parts.next().ok_or(ParseError::BadLine("missing exptime"))?)
                 .ok_or(ParseError::BadLine("bad exptime"))?;
-            let bytes = parse_u64(parts.next().ok_or(ParseError::BadLine("missing bytes"))?)
-                .ok_or(ParseError::BadLine("bad byte count"))? as usize;
+            // The data block: <bytes> bytes followed by CRLF. A count no
+            // buffer could hold is malformed, not incomplete.
+            let end = parse_u64(parts.next().ok_or(ParseError::BadLine("missing bytes"))?)
+                .and_then(|b| usize::try_from(b).ok()?.checked_add(consumed + 2))
+                .ok_or(ParseError::BadLine("bad byte count"))?;
             let noreply = matches!(parts.next(), Some(b"noreply"));
-            // The data block: <bytes> bytes followed by CRLF.
-            if input.len() < consumed + bytes + 2 {
+            if input.len() < end {
                 return Err(ParseError::Incomplete);
             }
-            let data = &input[consumed..consumed + bytes];
-            if &input[consumed + bytes..consumed + bytes + 2] != b"\r\n" {
+            let data = &input[consumed..end - 2];
+            if &input[end - 2..end] != b"\r\n" {
                 return Err(ParseError::BadLine("bad data chunk"));
             }
-            consumed += bytes + 2;
+            consumed = end;
             Ok((
                 Request::Store {
                     verb: sv,
@@ -496,10 +498,13 @@ fn ttl_from_exptime(exptime: u64, now: u64) -> Option<u64> {
     }
 }
 
-/// What an executed command was, for observability recording.
-struct OpReport {
-    op: &'static str,
-    hit: bool,
+/// Which `cache_*_total` counter an executed non-`get` command bumps.
+#[derive(Clone, Copy)]
+enum OpKind {
+    Store,
+    Delete,
+    Arith,
+    Other,
 }
 
 /// Appends one `STAT <name> <value>\r\n` line with an `f64` value.
@@ -561,21 +566,15 @@ fn exec_mutation(
     now: u64,
     obs: Option<&ProtocolObs>,
     out: &mut Vec<u8>,
-) -> OpReport {
+) -> OpKind {
     match *req {
         Request::Get { .. } => {
             debug_assert!(false, "gets are executed via the batch path");
-            OpReport {
-                op: "get",
-                hit: false,
-            }
+            OpKind::Other
         }
         // Context lines are consumed by the serving loop before execution;
         // reaching here (owned-command path) they are a silent no-op.
-        Request::Trace { .. } => OpReport {
-            op: "other",
-            hit: true,
-        },
+        Request::Trace { .. } => OpKind::Other,
         Request::Store {
             verb,
             key,
@@ -606,10 +605,7 @@ fn exec_mutation(
                     SetOutcome::TooLarge => b"SERVER_ERROR object too large for cache\r\n".as_ref(),
                 });
             }
-            OpReport {
-                op: "store",
-                hit: outcome == SetOutcome::Stored,
-            }
+            OpKind::Store
         }
         Request::Delete { key, noreply } => {
             // TTL-aware: deleting an expired-but-unreaped item purges it
@@ -622,10 +618,7 @@ fn exec_mutation(
                     b"NOT_FOUND\r\n".as_ref()
                 });
             }
-            OpReport {
-                op: "delete",
-                hit: found,
-            }
+            OpKind::Delete
         }
         Request::Arith {
             key,
@@ -633,7 +626,6 @@ fn exec_mutation(
             increment,
             noreply,
         } => {
-            let mut ok = false;
             match store.get_at(key, now) {
                 Some(raw) => {
                     let numeric = decode_value(&raw).and_then(|(f, d)| {
@@ -660,7 +652,6 @@ fn exec_mutation(
                                 out.extend_from_slice(digits.as_slice());
                                 out.extend_from_slice(b"\r\n");
                             }
-                            ok = true;
                         }
                         None => {
                             if !noreply {
@@ -677,25 +668,16 @@ fn exec_mutation(
                     }
                 }
             }
-            OpReport {
-                op: "arith",
-                hit: ok,
-            }
+            OpKind::Arith
         }
         Request::FlushAll => {
             store.clear();
             out.extend_from_slice(b"OK\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            OpKind::Other
         }
         Request::Version => {
             out.extend_from_slice(b"VERSION spotcache-1.0\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            OpKind::Other
         }
         Request::Stats => {
             // One sweep over the shard locks for every aggregate field;
@@ -721,10 +703,7 @@ fn exec_mutation(
                 write_registry_stats(out, po.bundle());
             }
             out.extend_from_slice(b"END\r\n");
-            OpReport {
-                op: "other",
-                hit: true,
-            }
+            OpKind::Other
         }
     }
 }
@@ -820,10 +799,11 @@ pub fn execute_into(store: &Store, cmd: &Command, now: u64, out: &mut Vec<u8>) {
 
 /// Per-operation recording handles for the protocol layer.
 ///
-/// One instance is shared by every connection of a server (the handles
-/// are atomic, so recording needs no lock). Latencies are wall-clock
-/// service durations in microseconds; journal timestamps are the caller's
-/// logical `now`, keeping event streams replayable.
+/// One instance is shared by every connection of a server; recording
+/// needs no lock and no allocation, and writes nothing to the journal.
+/// A pipelined `get` batch is accounted once, its per-command latency and
+/// parse samples written as equal shares ([`Histogram::record_n`]), so
+/// the shared atomics are touched per batch, not per command.
 pub struct ProtocolObs {
     obs: Arc<Obs>,
     tracer: Option<Arc<Tracer>>,
@@ -893,24 +873,22 @@ impl ProtocolObs {
         &self.obs
     }
 
-    fn record(&self, op: &'static str, hit: bool, now: u64, latency_us: f64) {
-        let counter = match op {
-            "get" => &self.get,
-            "store" => &self.store,
-            "delete" => &self.delete,
-            "arith" => &self.arith,
-            _ => &self.other,
-        };
-        counter.inc();
+    fn record(&self, op: OpKind, latency_us: f64) {
+        match op {
+            OpKind::Store => &self.store,
+            OpKind::Delete => &self.delete,
+            OpKind::Arith => &self.arith,
+            OpKind::Other => &self.other,
+        }
+        .inc();
         self.latency_us.record(latency_us);
-        self.obs.event(
-            now,
-            EventKind::CacheOp {
-                op: op.to_string(),
-                hit,
-                latency_us,
-            },
-        );
+    }
+
+    /// Writes the parse time of a run of `lines` consecutive `get` lines,
+    /// timed as one interval, as one equal-share sample per line.
+    fn parse_run(&self, (start, lines): (Instant, u64), end: Instant) {
+        let us = (end - start).as_secs_f64() * 1e6;
+        self.stage_parse_us.record_n(us / lines as f64, lines);
     }
 }
 
@@ -923,8 +901,6 @@ struct ServeScratch {
     key_ranges: Vec<(usize, usize)>,
     /// Number of keys per pending `get` command, in order.
     cmd_keys: Vec<usize>,
-    /// Per-command hit counts of the last flushed batch.
-    cmd_hits: Vec<usize>,
     /// Batched lookup results (input order).
     values: Vec<Option<Bytes>>,
 }
@@ -959,16 +935,10 @@ fn flush_gets(
         );
     }
     let serialize_start = obs.map(|_| Instant::now());
-    if let (Some(po), Some(t0)) = (obs, start) {
-        // Batch start to serialize start: the shard-lock stage of the
-        // request's latency attribution.
-        po.stage_lock_us.record(t0.elapsed().as_secs_f64() * 1e6);
-    }
     let serialize_span = maybe_span(tracer, "protocol", "serialize");
-    scratch.cmd_hits.clear();
+    let mut hits = 0u64;
     let mut vi = 0;
     for &nk in &scratch.cmd_keys {
-        let mut hits = 0;
         for _ in 0..nk {
             if let Some(raw) = &scratch.values[vi] {
                 if let Some((flags, data)) = decode_value(raw) {
@@ -980,23 +950,21 @@ fn flush_gets(
             vi += 1;
         }
         out.extend_from_slice(b"END\r\n");
-        scratch.cmd_hits.push(hits);
     }
     drop(serialize_span);
-    if let (Some(po), Some(t0)) = (obs, serialize_start) {
-        po.stage_serialize_us
-            .record(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    if let (Some(po), Some(start)) = (obs, start) {
-        // The batch is timed as a unit; each command is attributed an
-        // equal share so latency sums stay meaningful.
-        let share = start.elapsed().as_secs_f64() * 1e6 / scratch.cmd_keys.len() as f64;
-        for (i, &nk) in scratch.cmd_keys.iter().enumerate() {
-            let hits = scratch.cmd_hits[i];
-            po.hits.add(hits as u64);
-            po.misses.add((nk - hits) as u64);
-            po.record("get", hits > 0, now, share);
-        }
+    if let (Some(po), Some(t0), Some(t1)) = (obs, start, serialize_start) {
+        // The batch is timed and counted as a unit: the lookup is the
+        // shard-lock stage, and each command is attributed an equal share
+        // of the whole so latency sums stay meaningful.
+        let t2 = Instant::now();
+        let cmds = scratch.cmd_keys.len() as u64;
+        po.stage_lock_us.record((t1 - t0).as_secs_f64() * 1e6);
+        po.stage_serialize_us.record((t2 - t1).as_secs_f64() * 1e6);
+        po.latency_us
+            .record_n((t2 - t0).as_secs_f64() * 1e6 / cmds as f64, cmds);
+        po.get.add(cmds);
+        po.hits.add(hits);
+        po.misses.add(scratch.key_ranges.len() as u64 - hits);
     }
     scratch.key_ranges.clear();
     scratch.cmd_keys.clear();
@@ -1045,12 +1013,39 @@ fn serve_loop(
         }
     }
     let _serve_span = maybe_span(tracer, "protocol", "serve");
+    // The open run of `get` lines: when it started, and its line count.
+    let mut get_run: Option<(Instant, u64)> = None;
     while consumed < input.len() {
+        let rest = &input[consumed..];
         let parse_span = maybe_span(tracer, "protocol", "parse");
-        let parse_start = obs.map(|_| Instant::now());
-        let parsed = parse_request(&input[consumed..]);
-        if let (Some(po), Some(t0)) = (obs, parse_start) {
-            po.stage_parse_us.record(t0.elapsed().as_secs_f64() * 1e6);
+        // A line that starts like a `get` joins the open run; any other
+        // line is timed alone and ends the run where its own parse starts.
+        let parse_start = match obs {
+            Some(_) if rest.starts_with(b"get") => {
+                get_run.get_or_insert_with(|| (Instant::now(), 0)).1 += 1;
+                None
+            }
+            Some(po) => {
+                let now = Instant::now();
+                if let Some(run) = get_run.take() {
+                    po.parse_run(run, now);
+                }
+                Some(now)
+            }
+            None => None,
+        };
+        let parsed = parse_request(rest);
+        if let Some(po) = obs {
+            match parse_start {
+                Some(t0) => po.stage_parse_us.record(t0.elapsed().as_secs_f64() * 1e6),
+                // A malformed or partial `get` line is the run's last share.
+                None if !matches!(parsed, Ok((Request::Get { .. }, _))) => {
+                    if let Some(run) = get_run.take() {
+                        po.parse_run(run, Instant::now());
+                    }
+                }
+                None => {}
+            }
         }
         drop(parse_span);
         match parsed {
@@ -1075,11 +1070,11 @@ fn serve_loop(
                 flush_gets(store, input, scratch, now, obs, tracer, out);
                 let _exec_span = maybe_span(tracer, "protocol", "execute");
                 let start = obs.map(|_| Instant::now());
-                let report = exec_mutation(store, &req, now, obs, out);
+                let op = exec_mutation(store, &req, now, obs, out);
                 if let (Some(po), Some(start)) = (obs, start) {
                     let us = start.elapsed().as_secs_f64() * 1e6;
                     po.stage_execute_us.record(us);
-                    po.record(report.op, report.hit, now, us);
+                    po.record(op, us);
                 }
                 consumed += n;
             }
@@ -1097,6 +1092,9 @@ fn serve_loop(
                 }
             }
         }
+    }
+    if let (Some(po), Some(run)) = (obs, get_run) {
+        po.parse_run(run, Instant::now());
     }
     flush_gets(store, input, scratch, now, obs, tracer, out);
     if ctx_installed {
@@ -1121,8 +1119,8 @@ pub fn serve_into(store: &Store, input: &[u8], now: u64, out: &mut Vec<u8>) -> u
     serve_observed_into(store, input, now, None, out)
 }
 
-/// [`serve`], recording per-op counters, latency, and `CacheOp` journal
-/// events when `obs` is supplied.
+/// [`serve`], recording the `cache_*` and `stage_*` series when `obs` is
+/// supplied (see [`ProtocolObs`]).
 pub fn serve_observed(
     store: &Store,
     input: &[u8],
@@ -1138,6 +1136,8 @@ pub fn serve_observed(
 /// caller-owned output buffer, with optional observability. Returns the
 /// bytes consumed; everything after that is an incomplete trailing
 /// command the caller should retain and retry with more input.
+/// With `obs` the path stays lock- and allocation-free (see
+/// [`ProtocolObs`]); with `obs == None` it is [`serve_into`].
 pub fn serve_observed_into(
     store: &Store,
     input: &[u8],
@@ -1152,7 +1152,7 @@ pub fn serve_observed_into(
     consumed
 }
 
-/// [`serve_into`] with span tracing but no metric/journal recording: the
+/// [`serve_into`] with span tracing but no metric recording: the
 /// leanest instrumented path. With `tracer` disabled (or `None`) this is
 /// byte-for-byte the [`serve_into`] hot path and performs **zero heap
 /// allocations** per op in steady state — `tests/zero_alloc.rs` proves it
@@ -1299,12 +1299,65 @@ mod tests {
         assert_eq!(obs.counter("cache_get_misses_total").get(), 1);
         assert_eq!(obs.counter("cache_parse_errors_total").get(), 1);
         assert_eq!(obs.histogram("cache_op_latency_us").count(), 3);
-        let events = obs.journal().events();
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.t == 7), "logical timestamps");
-        assert!(events
-            .iter()
-            .all(|e| matches!(e.kind, spotcache_obs::EventKind::CacheOp { .. })));
+        // One parse sample per command line, the error included.
+        assert_eq!(obs.histogram("stage_parse_us").count(), 4);
+        assert!(obs.journal().is_empty(), "data-plane ops are not journaled");
+    }
+
+    #[test]
+    fn observed_pipelined_get_batch_counts_every_command() {
+        let s = store();
+        let obs = Arc::new(Obs::new());
+        let po = ProtocolObs::new(Arc::clone(&obs));
+        for i in (0..64).step_by(2) {
+            run(&s, &format!("set k{i} 0 0 1\r\nx\r\n"));
+        }
+        // 64 pipelined gets: even keys hit, odd keys miss, and every
+        // fourth command also asks for an absent key. A trailing partial
+        // command is parsed (and timed) but not consumed.
+        let mut input = String::new();
+        let (mut keys, mut hits) = (0u64, 0u64);
+        for i in 0..64 {
+            if i % 4 == 0 {
+                input.push_str(&format!("get k{i} absent{i}\r\n"));
+                keys += 2;
+            } else {
+                input.push_str(&format!("get k{i}\r\n"));
+                keys += 1;
+            }
+            hits += u64::from(i % 2 == 0);
+        }
+        let complete = input.len();
+        input.push_str("get k0");
+        let (out, consumed) = serve_observed(&s, input.as_bytes(), 7, Some(&po));
+        assert_eq!(consumed, complete);
+        assert_eq!(
+            String::from_utf8(out).unwrap().matches("END\r\n").count(),
+            64
+        );
+        assert_eq!(obs.counter("cache_get_total").get(), 64);
+        assert_eq!(obs.counter("cache_get_hits_total").get(), hits);
+        assert_eq!(obs.counter("cache_get_misses_total").get(), keys - hits);
+        assert_eq!(obs.histogram("cache_op_latency_us").count(), 64);
+        assert_eq!(obs.histogram("stage_parse_us").count(), 65);
+        assert_eq!(obs.histogram("stage_lock_us").count(), 1);
+        assert_eq!(obs.histogram("stage_serialize_us").count(), 1);
+        assert_eq!(obs.histogram("stage_execute_us").count(), 0);
+        // A mutation or a malformed get ends the batch: the gets around
+        // them form three batches, and every line is parsed and timed.
+        let tail = b"get k0\r\ndelete k2\r\nget k2\r\nget\r\nget k0\r\n";
+        let (_, consumed) = serve_observed(&s, tail, 7, Some(&po));
+        assert_eq!(consumed, tail.len());
+        assert_eq!(obs.counter("cache_get_total").get(), 67);
+        assert_eq!(obs.counter("cache_get_hits_total").get(), hits + 2);
+        assert_eq!(obs.counter("cache_get_misses_total").get(), keys - hits + 1);
+        assert_eq!(obs.counter("cache_delete_total").get(), 1);
+        assert_eq!(obs.counter("cache_parse_errors_total").get(), 1);
+        assert_eq!(obs.histogram("cache_op_latency_us").count(), 68);
+        assert_eq!(obs.histogram("stage_parse_us").count(), 70);
+        assert_eq!(obs.histogram("stage_lock_us").count(), 4);
+        assert_eq!(obs.histogram("stage_execute_us").count(), 1);
+        assert!(obs.journal().is_empty(), "data-plane ops are not journaled");
     }
 
     #[test]
@@ -1460,6 +1513,17 @@ mod tests {
         let long = "k".repeat(251);
         assert!(run(&s, &format!("get {long}\r\n")).starts_with("CLIENT_ERROR"));
         assert_eq!(parse(b"get \x01bad\r\n").unwrap_err(), ParseError::BadKey);
+    }
+
+    #[test]
+    fn unreachable_byte_count_is_malformed_not_incomplete() {
+        let line = format!("set k 0 0 {}\r\nx\r\n", u64::MAX);
+        assert_eq!(
+            parse_request(line.as_bytes()),
+            Err(ParseError::BadLine("bad byte count"))
+        );
+        let s = store();
+        assert_eq!(run(&s, &line), "CLIENT_ERROR bad byte count\r\nERROR\r\n");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up pass (which sizes the thread-local scratch and the reusable
 //! output buffer), serving pipelined get hits, get misses, delete misses,
-//! and parse errors must allocate **nothing**. Storage commands allocate
+//! and parse errors must allocate **nothing** — on the bare path, with a
+//! disabled tracer, and with live metrics. Storage commands allocate
 //! only the store-side key/value copies: a `set` with a reply and the
 //! same `set noreply` must allocate identically, proving the response
 //! writer itself adds zero allocations.
@@ -13,10 +14,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use spotcache_cache::protocol::{serve_into, serve_traced_into};
+use spotcache_cache::protocol::{serve_into, serve_observed_into, serve_traced_into, ProtocolObs};
 use spotcache_cache::store::{Store, StoreConfig};
-use spotcache_obs::Tracer;
+use spotcache_obs::{Obs, Tracer};
 
 struct CountingAlloc;
 
@@ -123,6 +125,29 @@ fn response_path_is_allocation_free_in_steady_state() {
         0,
         "a disabled tracer must not allocate on the read path"
     );
+
+    // Live metrics keep it too: every per-op series is an atomic counter
+    // or histogram, and no per-op event is journaled.
+    let obs = Arc::new(Obs::new());
+    let po = ProtocolObs::new(Arc::clone(&obs));
+    for _ in 0..3 {
+        out.clear();
+        serve_observed_into(&store, &input, 0, Some(&po), &mut out);
+    }
+    let before = allocs();
+    for _ in 0..100 {
+        out.clear();
+        let consumed = serve_observed_into(&store, &input, 0, Some(&po), &mut out);
+        assert_eq!(consumed, input.len());
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "observed hits/misses/errors must not allocate in steady state"
+    );
+    assert_eq!(obs.counter("cache_get_total").get(), 103 * 48);
+    assert!(obs.counter("cache_get_misses_total").get() > 0);
+    assert!(obs.counter("cache_parse_errors_total").get() > 0);
 
     // Storage commands: overwriting sets in steady state. The replied
     // and noreply variants must allocate identically — the store copies

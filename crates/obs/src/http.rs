@@ -242,10 +242,9 @@ mod tests {
         obs.gauge("phase").set(1.0);
         obs.event(
             7,
-            EventKind::CacheOp {
-                op: "get".into(),
-                hit: true,
-                latency_us: 9.5,
+            EventKind::NodeLaunched {
+                label: "t2.medium".into(),
+                count: 1,
             },
         );
         obs

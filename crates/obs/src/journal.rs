@@ -1,5 +1,9 @@
 //! Bounded structured event journal.
 //!
+//! The journal carries what an operator reads after the fact: control-plane
+//! decisions, revocations and recovery progress. Per-request data-plane
+//! activity goes to the registry instead, so recording here is rare.
+//!
 //! The journal is a fixed-capacity ring of [`Event`]s: when full, the
 //! oldest event is dropped and a drop counter is bumped, so a long run
 //! cannot grow memory without bound while the tail of the story is always
@@ -67,15 +71,6 @@ pub enum EventKind {
         /// Rate actually achieved.
         achieved: f64,
     },
-    /// A cache operation completed.
-    CacheOp {
-        /// Operation name (`get`, `set`, `delete`, ...).
-        op: String,
-        /// Whether it succeeded (for `get`: whether any key hit).
-        hit: bool,
-        /// Service latency in microseconds.
-        latency_us: f64,
-    },
 }
 
 impl EventKind {
@@ -88,7 +83,6 @@ impl EventKind {
             EventKind::NodeDeallocated { .. } => "node_deallocated",
             EventKind::BackupWarmupProgress { .. } => "backup_warmup_progress",
             EventKind::BucketThrottled { .. } => "bucket_throttled",
-            EventKind::CacheOp { .. } => "cache_op",
         }
     }
 }
@@ -214,10 +208,10 @@ mod tests {
         for t in 0..5u64 {
             j.record(
                 t,
-                EventKind::CacheOp {
-                    op: "get".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::Revocation {
+                    label: "m4.large".into(),
+                    count: 1,
+                    warned: false,
                 },
             );
         }

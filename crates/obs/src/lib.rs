@@ -10,7 +10,8 @@
 //!   lock-free recording and name-ordered (deterministic) enumeration.
 //! * [`Journal`] — a bounded ring of structured [`Event`]s
 //!   ([`EventKind`]: bids, revocations, node launches, warm-up progress,
-//!   bucket throttles, cache ops) with drop-oldest overflow.
+//!   bucket throttles) with drop-oldest overflow. Per-request cache
+//!   traffic is counted in the registry, never journaled.
 //! * [`trace`] — sampled spans ([`Tracer`]/[`SpanGuard`]) collected into
 //!   a bounded lock-free buffer and exported as Chrome trace-event JSON
 //!   (Perfetto-loadable); near-zero cost and provably allocation-free on
@@ -173,10 +174,9 @@ mod tests {
         for t in 0..4 {
             obs.event(
                 t,
-                EventKind::CacheOp {
-                    op: "set".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::NodeDeallocated {
+                    label: "m4.large".into(),
+                    count: 1,
                 },
             );
         }
@@ -192,10 +192,10 @@ mod tests {
         for t in 0..5 {
             obs.event(
                 t,
-                EventKind::CacheOp {
-                    op: "get".into(),
-                    hit: true,
-                    latency_us: 1.0,
+                EventKind::Revocation {
+                    label: "m4.large".into(),
+                    count: 1,
+                    warned: true,
                 },
             );
         }
@@ -216,10 +216,9 @@ mod tests {
         );
         obs.event(
             2,
-            EventKind::CacheOp {
-                op: "set".into(),
-                hit: true,
-                latency_us: 3.5,
+            EventKind::BackupWarmupProgress {
+                warmed_mass: 0.5,
+                pump_items_per_sec: 3.5,
             },
         );
         let body = obs.journal_ndjson();
@@ -229,6 +228,6 @@ mod tests {
             export::validate_json(line).unwrap_or_else(|at| panic!("bad line at {at}: {line}"));
         }
         assert!(lines[0].contains("\"kind\":\"node_launched\""));
-        assert!(lines[1].contains("\"kind\":\"cache_op\""));
+        assert!(lines[1].contains("\"kind\":\"backup_warmup_progress\""));
     }
 }

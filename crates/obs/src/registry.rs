@@ -128,15 +128,25 @@ impl Histogram {
     /// Records one observation; non-finite and negative values are
     /// ignored.
     pub fn record(&self, v: f64) {
-        if !v.is_finite() || v < 0.0 {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value `v` with one update per
+    /// atomic, so a batch that attributes an equal share to each of its
+    /// items costs what a single observation does. Equivalent to `n`
+    /// calls of [`Self::record`] (the sum up to float rounding); `n == 0`,
+    /// non-finite and negative values are ignored.
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n == 0 || !v.is_finite() || v < 0.0 {
             return;
         }
         let core = &self.0;
-        core.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
+        core.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
+        core.count.fetch_add(n, Ordering::Relaxed);
+        let add = v * n as f64;
         let mut cur = core.sum_bits.load(Ordering::Relaxed);
         loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
+            let next = (f64::from_bits(cur) + add).to_bits();
             match core.sum_bits.compare_exchange_weak(
                 cur,
                 next,
@@ -389,6 +399,54 @@ mod tests {
             prop_assert!(p95 <= p99, "p95 {} > p99 {}", p95, p99);
             prop_assert!(p99 <= max, "p99 {} > max {}", p99, max);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// `record_n(v, n)` is `n` calls of `record(v)`: identical count,
+        /// quantiles and max, the sum equal up to float rounding.
+        #[test]
+        fn record_n_matches_repeated_record(
+            batches in proptest::collection::vec((0.0f64..1e8, 0u64..50), 0..40),
+        ) {
+            use proptest::prelude::*;
+            let batched = Histogram::new();
+            let single = Histogram::new();
+            for &(v, n) in &batches {
+                batched.record_n(v, n);
+                for _ in 0..n {
+                    single.record(v);
+                }
+            }
+            prop_assert_eq!(batched.count(), single.count());
+            prop_assert_eq!(batched.max(), single.max());
+            for q in [0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(batched.quantile(q), single.quantile(q));
+            }
+            let tol = 1e-9 * single.sum().max(1.0);
+            prop_assert!(
+                (batched.sum() - single.sum()).abs() <= tol,
+                "sum {} vs {}", batched.sum(), single.sum()
+            );
+        }
+    }
+
+    #[test]
+    fn record_n_ignores_empty_and_garbage() {
+        let h = Histogram::new();
+        h.record_n(5.0, 0);
+        h.record_n(f64::NAN, 3);
+        h.record_n(f64::INFINITY, 3);
+        h.record_n(f64::NEG_INFINITY, 3);
+        h.record_n(-1.0, 3);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        h.record_n(2.5, 4);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 10.0);
+        assert_eq!(h.max(), 2.5);
     }
 
     #[test]

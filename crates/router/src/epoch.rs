@@ -177,6 +177,7 @@ mod tests {
     #[test]
     fn concurrent_publication_and_polling_is_monotone() {
         let ledger = WeightLedger::new();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let publisher = {
             let ledger = Arc::clone(&ledger);
             std::thread::spawn(move || {
@@ -188,14 +189,21 @@ mod tests {
         let pollers: Vec<_> = (0..4)
             .map(|_| {
                 let mut sub = ledger.subscribe();
+                let done = Arc::clone(&done);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut observed = 0u32;
-                    for _ in 0..50_000 {
+                    loop {
+                        // Poll until one poll starts after the publisher
+                        // finished, however the threads were scheduled.
+                        let finished = done.load(Ordering::Acquire);
                         if let Some(e) = sub.poll() {
                             assert!(e.epoch > last, "monotone: {last} then {}", e.epoch);
                             last = e.epoch;
                             observed += 1;
+                        }
+                        if finished {
+                            break;
                         }
                     }
                     (last, observed)
@@ -203,9 +211,11 @@ mod tests {
             })
             .collect();
         publisher.join().unwrap();
+        done.store(true, Ordering::Release);
         for p in pollers {
-            let (_last, observed) = p.join().unwrap();
+            let (last, observed) = p.join().unwrap();
             assert!(observed > 0, "every poller observed something");
+            assert_eq!(last, 2_000, "every poller reaches the final epoch");
         }
         assert_eq!(ledger.latest_epoch(), 2_000);
     }
